@@ -588,7 +588,7 @@ func (e *engine) Reachable(ctx context.Context, q Query) (Result, error) {
 		return Result{}, err
 	}
 	if q.Semantics.Active() {
-		return evalReachableSem(ctx, e, q)
+		return e.reachableSem(ctx, q)
 	}
 	acct := acctPool.Get().(*pagefile.Stats)
 	defer acctPool.Put(acct)

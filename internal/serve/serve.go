@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -162,7 +163,7 @@ func (s *Server) isDraining() bool {
 // within grace (in-flight work still running at the deadline is
 // abandoned). This is the lifecycle cmd/streachd runs under SIGTERM.
 func (s *Server) Serve(ctx context.Context, l net.Listener, grace time.Duration) error {
-	hs := &http.Server{Handler: s}
+	hs := &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(l) }()
 	select {
@@ -271,14 +272,35 @@ func (s *Server) queryCtx(r *http.Request) (context.Context, context.CancelFunc)
 	return r.Context(), func() {}
 }
 
-// decode parses the request body strictly (unknown fields are a 400).
-func decode(r *http.Request, into any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps a request body. The largest legitimate body is a
+// positional ingest instant at ~40 bytes per object, so the cap fits
+// instants of about 200,000 objects.
+const maxBodyBytes = 8 << 20
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so slow clients cannot hold connections open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
+// decode parses the request body strictly into into. On failure it writes
+// the error envelope and returns false: 413 for a body over maxBodyBytes,
+// 400 for malformed JSON, unknown fields or data after the JSON value.
+func decode(w http.ResponseWriter, r *http.Request, into any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		return fmt.Errorf("malformed request body: %w", err)
+	err := dec.Decode(into)
+	switch {
+	case err == nil:
+		if _, err := dec.Token(); err == io.EOF {
+			return true
+		}
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "malformed request body: trailing data after the JSON value", 0)
+	case errors.As(err, new(*http.MaxBytesError)):
+		writeError(w, http.StatusRequestEntityTooLarge, CodeBadRequest,
+			fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes), 0)
+	default:
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "malformed request body: "+err.Error(), 0)
 	}
-	return nil
+	return false
 }
 
 // writeEngineError maps an evaluation error onto the envelope: semantics
@@ -372,8 +394,7 @@ type reachableResponse struct {
 
 func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 	var req reachableRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
+	if !decode(w, r, &req) {
 		return
 	}
 	if err := errors.Join(
@@ -484,8 +505,7 @@ type cachedSet struct {
 
 func (s *Server) handleReachableSet(w http.ResponseWriter, r *http.Request) {
 	var req setRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
+	if !decode(w, r, &req) {
 		return
 	}
 	if err := errors.Join(
@@ -581,8 +601,7 @@ type arrivalResponse struct {
 
 func (s *Server) handleEarliestArrival(w http.ResponseWriter, r *http.Request) {
 	var req arrivalRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
+	if !decode(w, r, &req) {
 		return
 	}
 	if err := errors.Join(
@@ -659,8 +678,7 @@ type topKResponse struct {
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req topKRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
+	if !decode(w, r, &req) {
 		return
 	}
 	if err := errors.Join(
@@ -765,8 +783,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ingestRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
+	if !decode(w, r, &req) {
 		return
 	}
 	switch {

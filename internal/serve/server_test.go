@@ -79,6 +79,8 @@ func TestStructuredErrors(t *testing.T) {
 		{"topk zero k", http.MethodPost, "/v1/topk", `{"src":1,"from":0,"to":9,"k":0,"decay":0.5}`, 400, CodeBadRequest},
 		{"topk bad decay", http.MethodPost, "/v1/topk", `{"src":1,"from":0,"to":9,"k":3,"decay":1.5}`, 400, CodeBadRequest},
 		{"ingest on frozen", http.MethodPost, "/v1/ingest", `{"instants":[[[0,0]]]}`, 501, CodeNotLive},
+		{"oversized body", http.MethodPost, "/v1/reachable", strings.Repeat(" ", maxBodyBytes) + `{"src":1,"dst":2,"from":0,"to":9}`, 413, CodeBadRequest},
+		{"trailing garbage", http.MethodPost, "/v1/reachable", `{"src":1,"dst":2,"from":0,"to":9} garbage`, 400, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

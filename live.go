@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"streach/internal/contact"
 	"streach/internal/pagefile"
@@ -607,16 +606,13 @@ func (le *LiveEngine) snapshotNet() *contact.Network {
 	return shard.Merge(nets, le.numObjects, numTicks)
 }
 
-// view assembles the planner's slab list: sealed segments plus, when the
-// tail holds instants, an oracle core over the tail's slab-local network.
-// A dirty sealed segment — one with pending delta-log events — is served
-// by an oracle over its overlay network instead of its (stale) sealed
-// index, so out-of-order corrections are query-visible immediately.
-// Everything returned is immutable, so the query proceeds lock-free.
-func (le *LiveEngine) view() ([]segSlab, int) {
-	return logView(le.log)
-}
-
+// logView assembles the planner's slab list of one segment log: sealed
+// segments plus, when the tail holds instants, an oracle core over the
+// tail's slab-local network. A dirty sealed segment — one with pending
+// delta-log events — is served by an oracle over its overlay network
+// instead of its (stale) sealed index, so out-of-order corrections are
+// query-visible immediately. Everything returned is immutable, so the query
+// proceeds lock-free.
 func logView(lg *segment.Log[frontierCore]) ([]segSlab, int) {
 	sealed, tailSpan, tailNet, numTicks := lg.View()
 	slabs := make([]segSlab, 0, len(sealed)+1)
@@ -633,287 +629,76 @@ func logView(lg *segment.Log[frontierCore]) ([]segSlab, int) {
 	return slabs, numTicks
 }
 
-// laneSemView is one shard lane's scatter-gather entry point: a semCore
-// over a pinned view of the lane's log, evaluated through the
-// cross-segment planner. Expansions are clamped by the coordinator to the
-// common time domain, so a lane mid-append never leaks ticks its peers
-// have not covered yet.
-type laneSemView struct {
-	slabs      []segSlab
-	numObjects int
-	numTicks   int
-}
-
-func (v laneSemView) semSupports(spec semSpec) bool {
-	for _, s := range v.slabs {
-		sc, ok := s.core.(semCore)
-		if !ok || !sc.semSupports(spec) {
-			return false
-		}
+// pin takes one consistent view of the feed and wraps it in the ordinary
+// engine, so every live query runs the same entry points and planners as
+// the frozen "segmented:*", "bidir:*" and "shard:*" backends. An unsharded
+// engine pins a segmentedCore over its log; a sharded one pins a shardCore
+// with one segmentedCore per lane, over the common time domain — the
+// minimum lane frontier, so a query racing an append sees only ticks every
+// lane has covered. The oracle fallback snapshots the feed on first use;
+// the snapshot may include instants ingested after the view was taken, and
+// answers remain exact for every instant of the view.
+func (le *LiveEngine) pin() *engine {
+	e := &engine{name: le.name, numObjects: le.numObjects, src: liveSource{le}}
+	if le.lanes == nil {
+		core := le.viewCore(le.log)
+		e.core, e.numTicks = core, core.numTicks
+		return e
 	}
-	return true
-}
-
-func (v laneSemView) semProfile(ctx context.Context, dst []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	return planSemProfile(ctx, v.slabs, v.numObjects, v.numTicks, dst, seeds, iv, spec, earlyDst, acct)
-}
-
-// shardParts pins one consistent view per lane and returns them as the
-// scatter-gather planner's parts, with the common time domain — the
-// minimum lane frontier, so queries racing an append see only ticks every
-// lane has covered.
-func (le *LiveEngine) shardParts() ([]semCore, int) {
-	parts := make([]semCore, len(le.lanes))
-	numTicks := -1
+	sh := &shardCore{
+		assign:        le.assign,
+		children:      make([]engineCore, len(le.lanes)),
+		sems:          make([]semCore, len(le.lanes)),
+		numObjects:    le.numObjects,
+		numTicks:      -1,
+		parallelism:   le.parallelism,
+		crossFrontier: &le.crossFrontier,
+	}
 	for s, lg := range le.lanes {
-		slabs, nt := logView(lg)
-		parts[s] = laneSemView{slabs: slabs, numObjects: le.numObjects, numTicks: nt}
-		if numTicks < 0 || nt < numTicks {
-			numTicks = nt
+		core := le.viewCore(lg)
+		sh.children[s], sh.sems[s] = core, core
+		if sh.numTicks < 0 || core.numTicks < sh.numTicks {
+			sh.numTicks = core.numTicks
 		}
 	}
-	return parts, max(numTicks, 0)
+	e.core, e.numTicks = sh, sh.numTicks
+	return e
 }
 
-func (le *LiveEngine) shardPar() int {
-	if le.parallelism > 0 {
-		return le.parallelism
+// viewCore pins a view of one segment log as a segmentedCore.
+func (le *LiveEngine) viewCore(lg *segment.Log[frontierCore]) *segmentedCore {
+	slabs, numTicks := logView(lg)
+	return &segmentedCore{
+		slabs:       slabs,
+		numObjects:  le.numObjects,
+		numTicks:    numTicks,
+		bidir:       le.bidir,
+		parallelism: le.parallelism,
 	}
-	return len(le.lanes)
 }
+
+// liveSource is the Source of a pinned view: the fresh feed snapshot the
+// oracle fallback evaluates over.
+type liveSource struct{ le *LiveEngine }
+
+func (s liveSource) sourceDataset() *Dataset         { return nil }
+func (s liveSource) sourceContacts() *ContactNetwork { return s.le.Snapshot() }
 
 // Name returns "live:<base>".
 func (le *LiveEngine) Name() string { return le.name }
 
 // Reachable answers q over every instant ingested before the call took its
-// view of the log. Queries with an active Semantics spec route through the
-// semantics layer like every registry engine.
+// view of the log. A sharded engine answers every point query with the
+// scatter-gather relaxation, "bidir:" bases included: the bidirectional
+// planner needs the undivided network, which no single lane holds.
 func (le *LiveEngine) Reachable(ctx context.Context, q Query) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if q.Semantics.Active() {
-		return evalReachableSem(ctx, le.semView(), q)
-	}
-	if le.lanes != nil {
-		return le.reachableSharded(ctx, q)
-	}
-	slabs, numTicks := le.view()
-	var acct pagefile.Stats
-	start := time.Now()
-	var ok bool
-	var expanded int
-	var err error
-	if le.bidir {
-		ok, expanded, err = planReachBidir(ctx, slabs, le.numObjects, numTicks, q, le.parallelism, &acct)
-	} else {
-		ok, expanded, err = planReach(ctx, slabs, le.numObjects, numTicks, q, le.parallelism, &acct)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Query:     q,
-		Reachable: ok,
-		IO:        statsOf(acct),
-		Latency:   time.Since(start),
-		Expanded:  expanded,
-		Evaluated: true,
-		Arrival:   -1,
-		Hops:      -1,
-		Native:    true,
-	}, nil
+	return le.pin().Reachable(ctx, q)
 }
 
 // ReachableSet returns every object reachable from src during iv, sorted
 // ascending and deduplicated.
 func (le *LiveEngine) ReachableSet(ctx context.Context, src ObjectID, iv Interval) (SetResult, error) {
-	if err := ctx.Err(); err != nil {
-		return SetResult{}, err
-	}
-	if le.lanes != nil {
-		return le.reachableSetSharded(ctx, src, iv)
-	}
-	slabs, numTicks := le.view()
-	var acct pagefile.Stats
-	start := time.Now()
-	objs, _, err := planSet(ctx, slabs, le.numObjects, numTicks, src, iv, le.parallelism, &acct)
-	if err != nil {
-		return SetResult{}, err
-	}
-	objs = sortDedupObjects(objs)
-	return SetResult{
-		Src:      src,
-		Interval: iv,
-		Objects:  objs,
-		IO:       statsOf(acct),
-		Latency:  time.Since(start),
-		Expanded: len(objs),
-	}, nil
-}
-
-// reachableSharded answers a plain point query over the ingest lanes with
-// the scatter-gather frontier relaxation — the same planner as the frozen
-// shard backends, with q.Dst as the early-exit target. A sharded live
-// engine routes every point query here (including "bidir:" bases: the
-// bidirectional planner needs the undivided network, which no single lane
-// holds).
-func (le *LiveEngine) reachableSharded(ctx context.Context, q Query) (Result, error) {
-	parts, numTicks := le.shardParts()
-	if err := validatePlanIDs(le.numObjects, q.Src, q.Dst); err != nil {
-		return Result{}, err
-	}
-	start := time.Now()
-	res := Result{
-		Query:     q,
-		Evaluated: true,
-		Arrival:   -1,
-		Hops:      -1,
-		Native:    true,
-	}
-	iv := clampDomain(q.Interval, numTicks)
-	switch {
-	case numTicks == 0 || iv.Len() == 0:
-	case q.Src == q.Dst:
-		res.Reachable = true
-	default:
-		sc := semPool.Get()
-		defer semPool.Put(sc)
-		sc.seeds = append(sc.seeds[:0], queries.SeedState{Obj: q.Src})
-		var acct pagefile.Stats
-		entries, n, err := planShardProfile(ctx, parts, le.assign, le.numObjects, numTicks,
-			sc.entries[:0], sc.seeds, iv, hopAgnostic, q.Dst, le.shardPar(), &acct, &le.crossFrontier)
-		sc.entries = entries
-		if err != nil {
-			return Result{}, err
-		}
-		_, res.Reachable = findEntry(entries, q.Dst)
-		res.IO = statsOf(acct)
-		res.Expanded = n
-	}
-	res.Latency = time.Since(start)
-	return res, nil
-}
-
-// reachableSetSharded computes the reachable set over the ingest lanes with
-// one exhaustive scatter-gather relaxation (no early exit).
-func (le *LiveEngine) reachableSetSharded(ctx context.Context, src ObjectID, iv Interval) (SetResult, error) {
-	parts, numTicks := le.shardParts()
-	if err := validatePlanIDs(le.numObjects, src, src); err != nil {
-		return SetResult{}, err
-	}
-	sc := semPool.Get()
-	defer semPool.Put(sc)
-	sc.seeds = append(sc.seeds[:0], queries.SeedState{Obj: src})
-	var acct pagefile.Stats
-	start := time.Now()
-	entries, _, err := planShardProfile(ctx, parts, le.assign, le.numObjects, numTicks,
-		sc.entries[:0], sc.seeds, iv, hopAgnostic, queries.NoObject, le.shardPar(), &acct, &le.crossFrontier)
-	sc.entries = entries
-	if err != nil {
-		return SetResult{}, err
-	}
-	objs := make([]ObjectID, len(entries))
-	for i, en := range entries {
-		objs[i] = en.Obj
-	}
-	return SetResult{
-		Src:      src,
-		Interval: iv,
-		Objects:  objs,
-		IO:       statsOf(acct),
-		Latency:  time.Since(start),
-		Expanded: len(objs),
-	}, nil
-}
-
-// liveSemView is the per-query semEvaluator of a LiveEngine: it pins one
-// consistent view of the log so a semantic query evaluates against a
-// fixed set of ingested instants. Evaluation goes through the
-// cross-segment planner when every slab of the view supports the spec
-// (the tail's oracle core always does), and through a brute-force oracle
-// over a fresh feed snapshot otherwise — the snapshot may include
-// instants ingested after the view was taken; answers remain exact for
-// every instant of the view.
-type liveSemView struct {
-	le       *LiveEngine
-	slabs    []segSlab
-	numTicks int
-}
-
-func (le *LiveEngine) semView() semEvaluator {
-	if le.lanes != nil {
-		parts, numTicks := le.shardParts()
-		return &liveShardSemView{le: le, parts: parts, numTicks: numTicks}
-	}
-	slabs, numTicks := le.view()
-	return &liveSemView{le: le, slabs: slabs, numTicks: numTicks}
-}
-
-// liveShardSemView is the semEvaluator of a sharded LiveEngine: pinned
-// per-lane views evaluated through the scatter-gather relaxation. Like the
-// frozen shard backends it is native exactly for hop-agnostic specs every
-// lane supports; hop-tracking specs (and any slab that cannot serve the
-// spec) fall back to a brute-force oracle over a merged feed snapshot.
-type liveShardSemView struct {
-	le       *LiveEngine
-	parts    []semCore
-	numTicks int
-}
-
-func (v *liveShardSemView) semDims() (int, int) { return v.le.numObjects, v.numTicks }
-
-func (v *liveShardSemView) semNativeFor(spec semSpec) bool {
-	if spec.tracksHops() {
-		return false
-	}
-	for _, p := range v.parts {
-		if !p.semSupports(spec) {
-			return false
-		}
-	}
-	return true
-}
-
-func (v *liveShardSemView) semEvaluate(ctx context.Context, sc *semScratch, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, bool, error) {
-	if v.semNativeFor(spec) {
-		entries, n, err := planShardProfile(ctx, v.parts, v.le.assign, v.le.numObjects, v.numTicks,
-			sc.entries[:0], seeds, iv, spec, earlyDst, v.le.shardPar(), acct, &v.le.crossFrontier)
-		sc.entries = entries
-		return entries, n, true, err
-	}
-	entries, n := queries.NewOracle(v.le.snapshotNet()).Filtered(spec.filter).ProfileFrom(seeds, iv, spec.budget, earlyDst)
-	return entries, n, false, nil
-}
-
-func (v *liveShardSemView) semOracle() *queries.Oracle {
-	return queries.NewOracle(v.le.snapshotNet())
-}
-
-func (v *liveSemView) semDims() (int, int) { return v.le.numObjects, v.numTicks }
-
-func (v *liveSemView) semNativeFor(spec semSpec) bool {
-	for _, s := range v.slabs {
-		sc, ok := s.core.(semCore)
-		if !ok || !sc.semSupports(spec) {
-			return false
-		}
-	}
-	return true
-}
-
-func (v *liveSemView) semEvaluate(ctx context.Context, sc *semScratch, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, bool, error) {
-	if v.semNativeFor(spec) {
-		entries, n, err := planSemProfile(ctx, v.slabs, v.le.numObjects, v.numTicks, sc.entries[:0], seeds, iv, spec, earlyDst, acct)
-		sc.entries = entries
-		return entries, n, true, err
-	}
-	entries, n := queries.NewOracle(v.le.snapshotNet()).Filtered(spec.filter).ProfileFrom(seeds, iv, spec.budget, earlyDst)
-	return entries, n, false, nil
-}
-
-func (v *liveSemView) semOracle() *queries.Oracle {
-	return queries.NewOracle(v.le.snapshotNet())
+	return le.pin().ReachableSet(ctx, src, iv)
 }
 
 // EarliestArrival returns the first ingested tick in iv at which dst
@@ -923,7 +708,7 @@ func (v *liveSemView) semOracle() *queries.Oracle {
 // arrival sweep fall back to an oracle over a fresh snapshot (all current
 // live-capable bases are arrival-native).
 func (le *LiveEngine) EarliestArrival(ctx context.Context, src, dst ObjectID, iv Interval) (ArrivalResult, error) {
-	return evalEarliestArrival(ctx, le.semView(), src, dst, iv)
+	return le.pin().EarliestArrival(ctx, src, dst, iv)
 }
 
 // TopKReachable ranks the objects reachable from src during iv under
@@ -932,7 +717,7 @@ func (le *LiveEngine) EarliestArrival(ctx context.Context, src, dst ObjectID, iv
 // hops (reachgraph, reachgraph-mem) answer through an oracle over a
 // fresh snapshot of the ingested feed.
 func (le *LiveEngine) TopKReachable(ctx context.Context, src ObjectID, iv Interval, k int, decay float64) (TopKResult, error) {
-	return evalTopKReachable(ctx, le.semView(), src, iv, k, decay)
+	return le.pin().TopKReachable(ctx, src, iv, k, decay)
 }
 
 // IndexBytes returns the total on-disk size of the sealed segments (zero
@@ -1017,18 +802,7 @@ func (le *LiveEngine) Stats() EngineStats {
 	} else {
 		// Per-lane private pools: report their summed counters, the same
 		// convention as the frozen shard backends.
-		for _, p := range le.lanePools {
-			if p == nil {
-				continue
-			}
-			ps := p.Stats()
-			st.HasPool = true
-			st.Pool.Hits += ps.Hits
-			st.Pool.Misses += ps.Misses
-			st.Pool.Evictions += ps.Evictions
-			st.Pool.Resident += ps.Resident
-			st.Pool.Capacity += ps.Capacity
-		}
+		st.Pool, st.HasPool = sumPoolStats(le.lanePools)
 	}
 	if le.shards > 0 {
 		st.Shards = le.shards

@@ -581,11 +581,11 @@ func init() {
 }
 
 // withSharedSlabPool returns opts with a buffer pool that every
-// disk-resident slab of one segmented (or live) engine shares: the
-// caller's Options.Pool when set, otherwise a pool private to the engine —
-// either way all slabs draw on a single page budget, exactly like the
-// serving configuration of unsegmented engines. The 64-page fallback
-// mirrors the backends' own Params default.
+// disk-resident slab of one segmented (or live) engine — or of one shard
+// child — shares: the caller's Options.Pool when set, otherwise a pool
+// private to the engine — either way all slabs draw on a single page
+// budget, exactly like the serving configuration of unsegmented engines.
+// The 64-page fallback mirrors the backends' own Params default.
 func withSharedSlabPool(opts Options, diskResident bool) Options {
 	if !diskResident || opts.Pool != nil {
 		return opts

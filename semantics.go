@@ -238,27 +238,9 @@ var semPool = visit.NewPool(func() *semScratch { return new(semScratch) })
 
 // --- shared entry-point protocol ---
 
-// semEvaluator is the evaluation surface behind the public semantic entry
-// points, implemented by the uniform engine (native core or oracle
-// fallback) and by LiveEngine's per-query log views (cross-segment
-// planner or snapshot oracle). The shared eval* functions below own the
-// whole query protocol — validation, clamping, the src==dst shortcut,
-// seeding, result bookkeeping — so the two engine flavors cannot drift.
-type semEvaluator interface {
-	// semDims returns the object and tick domain sizes.
-	semDims() (numObjects, numTicks int)
-	// semNativeFor reports whether spec evaluates natively.
-	semNativeFor(spec semSpec) bool
-	// semEvaluate runs one profile evaluation; the returned entries may
-	// alias sc.entries and must be consumed before sc is released.
-	semEvaluate(ctx context.Context, sc *semScratch, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, bool, error)
-	// semOracle returns an exact oracle over the evaluator's current
-	// contact set, for estimators that need the raw network (Monte-Carlo
-	// sampling) rather than a profile evaluation.
-	semOracle() *queries.Oracle
-}
-
-func (e *engine) semDims() (int, int) { return e.numObjects, e.numTicks }
+// The engine methods below own the whole semantic query protocol —
+// validation, clamping, the src==dst shortcut, seeding, result bookkeeping
+// — for every engine, LiveEngine included (it pins a view and calls them).
 
 // semNativeFor reports whether the engine's core evaluates spec natively.
 func (e *engine) semNativeFor(spec semSpec) bool {
@@ -268,6 +250,8 @@ func (e *engine) semNativeFor(spec semSpec) bool {
 
 // semEvaluate runs one semantic evaluation: natively when the core
 // supports the spec, through the lazily-built oracle fallback otherwise.
+// The returned entries may alias sc.entries and must be consumed before sc
+// is released.
 func (e *engine) semEvaluate(ctx context.Context, sc *semScratch, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, bool, error) {
 	if c, ok := e.core.(semCore); ok && c.semSupports(spec) {
 		entries, n, err := c.semProfile(ctx, sc.entries[:0], seeds, iv, spec, earlyDst, acct)
@@ -277,8 +261,6 @@ func (e *engine) semEvaluate(ctx context.Context, sc *semScratch, seeds []querie
 	entries, n := e.fallbackOracle().Filtered(spec.filter).ProfileFrom(seeds, iv, spec.budget, earlyDst)
 	return entries, n, false, nil
 }
-
-func (e *engine) semOracle() *queries.Oracle { return e.fallbackOracle() }
 
 // fallbackOracle lazily builds the brute-force oracle over the engine's
 // source contacts. For trajectory sources this triggers (or reuses) the
@@ -304,15 +286,14 @@ func clampDomain(iv Interval, numTicks int) Interval {
 	return iv.Intersect(Interval{Lo: 0, Hi: Tick(numTicks - 1)})
 }
 
-// evalReachableSem answers a point query whose Semantics field is active:
+// reachableSem answers a point query whose Semantics field is active:
 // hop-bounded, predicate-filtered and/or probabilistic reachability with
 // earliest-arrival tracking. Probabilistic queries report the best-path
 // probability p^minHops under the τ-folded budget, except when MCTrials
 // requests the seeded Monte-Carlo reliability estimate, which diverts to
-// the evaluator's exact oracle before any profile evaluation.
-func evalReachableSem(ctx context.Context, ev semEvaluator, q Query) (Result, error) {
-	numObjects, numTicks := ev.semDims()
-	if err := validatePlanIDs(numObjects, q.Src, q.Dst); err != nil {
+// the engine's exact oracle before any profile evaluation.
+func (e *engine) reachableSem(ctx context.Context, q Query) (Result, error) {
+	if err := validatePlanIDs(e.numObjects, q.Src, q.Dst); err != nil {
 		return Result{}, err
 	}
 	spec, err := specFor(q.Semantics)
@@ -320,11 +301,11 @@ func evalReachableSem(ctx context.Context, ev semEvaluator, q Query) (Result, er
 		return Result{}, err
 	}
 	if q.Semantics.MCTrials > 0 {
-		return evalMonteCarlo(ev, q, numTicks)
+		return e.monteCarlo(q), nil
 	}
-	res := Result{Query: q, Evaluated: true, Arrival: -1, Hops: -1, Native: ev.semNativeFor(spec)}
-	iv := clampDomain(q.Interval, numTicks)
-	if numTicks == 0 || iv.Len() == 0 {
+	res := Result{Query: q, Evaluated: true, Arrival: -1, Hops: -1, Native: e.semNativeFor(spec)}
+	iv := clampDomain(q.Interval, e.numTicks)
+	if e.numTicks == 0 || iv.Len() == 0 {
 		return res, nil
 	}
 	if q.Src == q.Dst {
@@ -350,7 +331,7 @@ func evalReachableSem(ctx context.Context, ev semEvaluator, q Query) (Result, er
 	if q.Semantics.Prob > 0 {
 		early = queries.NoObject
 	}
-	entries, expanded, native, err := ev.semEvaluate(ctx, sc, seeds, iv, spec, early, acct)
+	entries, expanded, native, err := e.semEvaluate(ctx, sc, seeds, iv, spec, early, acct)
 	if err != nil {
 		return Result{}, err
 	}
@@ -369,21 +350,21 @@ func evalReachableSem(ctx context.Context, ev semEvaluator, q Query) (Result, er
 	return res, nil
 }
 
-// evalMonteCarlo answers a probabilistic point query by seeded world
-// sampling over the evaluator's exact contact oracle (two-terminal
+// monteCarlo answers a probabilistic point query by seeded world
+// sampling over the engine's exact contact oracle (two-terminal
 // reliability, an upper bound on the best-path probability). It is the
 // documented fallback — never native — and reports the estimate in
 // Result.Prob; Reachable compares it against the query's threshold.
-func evalMonteCarlo(ev semEvaluator, q Query, numTicks int) (Result, error) {
+func (e *engine) monteCarlo(q Query) Result {
 	res := Result{Query: q, Evaluated: true, Arrival: -1, Hops: -1}
-	iv := clampDomain(q.Interval, numTicks)
-	if numTicks == 0 || iv.Len() == 0 {
-		return res, nil
+	iv := clampDomain(q.Interval, e.numTicks)
+	if e.numTicks == 0 || iv.Len() == 0 {
+		return res
 	}
 	start := time.Now()
 	mq := q
 	mq.Interval = iv
-	est := ev.semOracle().MonteCarloReachable(mq)
+	est := e.fallbackOracle().MonteCarloReachable(mq)
 	res.Prob = est
 	if tau := q.Semantics.ProbThreshold; tau > 0 {
 		res.Reachable = est >= tau
@@ -394,22 +375,20 @@ func evalMonteCarlo(ev semEvaluator, q Query, numTicks int) (Result, error) {
 		res.Arrival, res.Hops = iv.Lo, 0
 	}
 	res.Latency = time.Since(start)
-	return res, nil
+	return res
 }
 
-// evalEarliestArrival is the shared EarliestArrival protocol.
-func evalEarliestArrival(ctx context.Context, ev semEvaluator, src, dst ObjectID, iv Interval) (ArrivalResult, error) {
+func (e *engine) EarliestArrival(ctx context.Context, src, dst ObjectID, iv Interval) (ArrivalResult, error) {
 	if err := ctx.Err(); err != nil {
 		return ArrivalResult{}, err
 	}
-	numObjects, numTicks := ev.semDims()
-	if err := validatePlanIDs(numObjects, src, dst); err != nil {
+	if err := validatePlanIDs(e.numObjects, src, dst); err != nil {
 		return ArrivalResult{}, err
 	}
 	spec := semSpec{budget: queries.UnboundedHops}
-	res := ArrivalResult{Src: src, Dst: dst, Interval: iv, Arrival: -1, Hops: -1, Native: ev.semNativeFor(spec)}
-	clamped := clampDomain(iv, numTicks)
-	if numTicks == 0 || clamped.Len() == 0 {
+	res := ArrivalResult{Src: src, Dst: dst, Interval: iv, Arrival: -1, Hops: -1, Native: e.semNativeFor(spec)}
+	clamped := clampDomain(iv, e.numTicks)
+	if e.numTicks == 0 || clamped.Len() == 0 {
 		return res, nil
 	}
 	if src == dst {
@@ -424,7 +403,7 @@ func evalEarliestArrival(ctx context.Context, ev semEvaluator, src, dst ObjectID
 	start := time.Now()
 	seeds := append(sc.seeds[:0], queries.SeedState{Obj: src, Hops: 0})
 	sc.seeds = seeds
-	entries, expanded, native, err := ev.semEvaluate(ctx, sc, seeds, clamped, spec, dst, acct)
+	entries, expanded, native, err := e.semEvaluate(ctx, sc, seeds, clamped, spec, dst, acct)
 	if err != nil {
 		return ArrivalResult{}, err
 	}
@@ -440,22 +419,20 @@ func evalEarliestArrival(ctx context.Context, ev semEvaluator, src, dst ObjectID
 	return res, nil
 }
 
-// evalTopKReachable is the shared TopKReachable protocol.
-func evalTopKReachable(ctx context.Context, ev semEvaluator, src ObjectID, iv Interval, k int, decay float64) (TopKResult, error) {
+func (e *engine) TopKReachable(ctx context.Context, src ObjectID, iv Interval, k int, decay float64) (TopKResult, error) {
 	if err := ctx.Err(); err != nil {
 		return TopKResult{}, err
 	}
-	numObjects, numTicks := ev.semDims()
-	if err := validatePlanIDs(numObjects, src, src); err != nil {
+	if err := validatePlanIDs(e.numObjects, src, src); err != nil {
 		return TopKResult{}, err
 	}
 	if err := validateTopK(k, decay); err != nil {
 		return TopKResult{}, err
 	}
 	spec := semSpec{budget: queries.UnboundedHops, needHops: true}
-	res := TopKResult{Src: src, Interval: iv, K: k, Decay: decay, Native: ev.semNativeFor(spec)}
-	clamped := clampDomain(iv, numTicks)
-	if numTicks == 0 || clamped.Len() == 0 || k == 0 {
+	res := TopKResult{Src: src, Interval: iv, K: k, Decay: decay, Native: e.semNativeFor(spec)}
+	clamped := clampDomain(iv, e.numTicks)
+	if e.numTicks == 0 || clamped.Len() == 0 || k == 0 {
 		return res, nil
 	}
 	acct := acctPool.Get().(*pagefile.Stats)
@@ -466,7 +443,7 @@ func evalTopKReachable(ctx context.Context, ev semEvaluator, src ObjectID, iv In
 	start := time.Now()
 	seeds := append(sc.seeds[:0], queries.SeedState{Obj: src, Hops: 0})
 	sc.seeds = seeds
-	entries, expanded, native, err := ev.semEvaluate(ctx, sc, seeds, clamped, spec, queries.NoObject, acct)
+	entries, expanded, native, err := e.semEvaluate(ctx, sc, seeds, clamped, spec, queries.NoObject, acct)
 	if err != nil {
 		return TopKResult{}, err
 	}
@@ -476,14 +453,6 @@ func evalTopKReachable(ctx context.Context, ev semEvaluator, src ObjectID, iv In
 	res.Latency = time.Since(start)
 	res.Expanded = expanded
 	return res, nil
-}
-
-func (e *engine) EarliestArrival(ctx context.Context, src, dst ObjectID, iv Interval) (ArrivalResult, error) {
-	return evalEarliestArrival(ctx, e, src, dst, iv)
-}
-
-func (e *engine) TopKReachable(ctx context.Context, src ObjectID, iv Interval, k int, decay float64) (TopKResult, error) {
-	return evalTopKReachable(ctx, e, src, iv, k, decay)
 }
 
 // validateTopK rejects nonsensical top-k parameters.

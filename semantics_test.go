@@ -253,18 +253,34 @@ func TestSemanticsNativeMatrix(t *testing.T) {
 		// contact store, whatever the base supports.
 		"uncertain:oracle": true, "uncertain:reachgraph": true,
 		"spj": false, "grail": false, "grail-mem": false,
+		// Live engines pin a view and answer through the same engine
+		// wrapper and planners as the segmented and shard backends.
+		"live:reachgraph-mem": true, "live:oracle": true, "live:shard:2:reachgraph": true,
 	}
 	hopNative := map[string]bool{
 		"oracle": true, "reachgrid": true,
 		"segmented:oracle": true, "segmented:reachgrid": true,
 		"bidir:oracle":     true,
 		"uncertain:oracle": true, "uncertain:reachgraph": true,
+		"live:oracle": true,
 	}
+	engines := map[string]streach.Engine{}
 	for _, name := range streach.Backends() {
 		e, err := streach.Open(name, ds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		engines[name] = e
+	}
+	for _, base := range []string{"reachgraph-mem", "oracle", "shard:2:reachgraph"} {
+		le, err := streach.NewLiveEngine(base, ds.NumObjects(), ds.Env(), ds.ContactDist(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedLive(t, le, ds, ds.NumTicks())
+		engines[le.Name()] = le
+	}
+	for name, e := range engines {
 		ar, err := e.EarliestArrival(ctx, 0, 1, iv)
 		if err != nil {
 			t.Fatal(err)

@@ -86,8 +86,10 @@ type shardCore struct {
 	partContacts  []int
 
 	// crossFrontier counts the boundary objects handed across the shard
-	// cut by queries — the dynamic scatter-gather traffic metric.
-	crossFrontier atomic.Int64
+	// cut by queries — the dynamic scatter-gather traffic metric. It is a
+	// pointer so the per-query coordinator of a pinned live view adds into
+	// the live engine's lasting counter.
+	crossFrontier *atomic.Int64
 }
 
 // hopAgnostic is the semantic spec every scatter-gather expansion runs
@@ -123,7 +125,7 @@ func (c *shardCore) reach(ctx context.Context, q Query, acct *pagefile.Stats) (b
 	defer semPool.Put(sc)
 	sc.seeds = append(sc.seeds[:0], queries.SeedState{Obj: q.Src})
 	entries, n, err := planShardProfile(ctx, c.sems, c.assign, c.numObjects, c.numTicks,
-		sc.entries[:0], sc.seeds, iv, hopAgnostic, q.Dst, c.par(), acct, &c.crossFrontier)
+		sc.entries[:0], sc.seeds, iv, hopAgnostic, q.Dst, c.par(), acct, c.crossFrontier)
 	sc.entries = entries
 	if err != nil {
 		return false, n, err
@@ -149,7 +151,7 @@ func (c *shardCore) reachSet(ctx context.Context, src ObjectID, iv Interval, acc
 	defer semPool.Put(sc)
 	sc.seeds = append(sc.seeds[:0], queries.SeedState{Obj: src})
 	entries, _, err := planShardProfile(ctx, c.sems, c.assign, c.numObjects, c.numTicks,
-		sc.entries[:0], sc.seeds, iv, hopAgnostic, queries.NoObject, c.par(), acct, &c.crossFrontier)
+		sc.entries[:0], sc.seeds, iv, hopAgnostic, queries.NoObject, c.par(), acct, c.crossFrontier)
 	sc.entries = entries
 	if err != nil {
 		return nil, err
@@ -178,7 +180,7 @@ func (c *shardCore) semProfile(ctx context.Context, dst []queries.ProfileEntry, 
 		return c.sems[0].semProfile(ctx, dst, seeds, iv, spec, earlyDst, acct)
 	}
 	return planShardProfile(ctx, c.sems, c.assign, c.numObjects, c.numTicks,
-		dst, seeds, iv, spec, earlyDst, c.par(), acct, &c.crossFrontier)
+		dst, seeds, iv, spec, earlyDst, c.par(), acct, c.crossFrontier)
 }
 
 func (c *shardCore) ioTotals() pagefile.Stats {
@@ -233,19 +235,26 @@ func (c *shardCore) fillStats(st *EngineStats) {
 	if !st.HasPool {
 		// Per-shard private pools: report their summed counters so the
 		// serving layer sees one pool surface either way.
-		for _, p := range c.pools {
-			if p == nil {
-				continue
-			}
-			ps := p.Stats()
-			st.HasPool = true
-			st.Pool.Hits += ps.Hits
-			st.Pool.Misses += ps.Misses
-			st.Pool.Evictions += ps.Evictions
-			st.Pool.Resident += ps.Resident
-			st.Pool.Capacity += ps.Capacity
-		}
+		st.Pool, st.HasPool = sumPoolStats(c.pools)
 	}
+}
+
+// sumPoolStats sums the counters of the non-nil pools; ok reports whether
+// there was any.
+func sumPoolStats(pools []*BufferPool) (sum PoolStats, ok bool) {
+	for _, p := range pools {
+		if p == nil {
+			continue
+		}
+		ps := p.Stats()
+		ok = true
+		sum.Hits += ps.Hits
+		sum.Misses += ps.Misses
+		sum.Evictions += ps.Evictions
+		sum.Resident += ps.Resident
+		sum.Capacity += ps.Capacity
+	}
+	return sum, ok
 }
 
 // shardEngine wraps the uniform engine with the Sharded surface.
@@ -616,22 +625,16 @@ func buildShardCore(k int, partitioner, base string, src Source, opts Options) (
 		crossRatio:    split.CrossRatio(),
 		crossContacts: split.CrossContacts,
 		pools:         make([]*BufferPool, k),
+		crossFrontier: new(atomic.Int64),
 		partObjects:   make([]int, k),
 		partContacts:  make([]int, k),
 	}
 	for s := 0; s < k; s++ {
 		core.partObjects[s] = assign.Objects(s)
 		core.partContacts[s] = len(split.Parts[s].Contacts)
-		childOpts := opts
-		if baseSpec.info.DiskResident && opts.Pool == nil {
-			pages := opts.PoolPages
-			if pages == 0 {
-				pages = 64
-			}
-			if pages > 0 {
-				core.pools[s] = NewBufferPool(pages)
-				childOpts.Pool = core.pools[s]
-			}
+		childOpts := withSharedSlabPool(opts, baseSpec.info.DiskResident)
+		if opts.Pool == nil {
+			core.pools[s] = childOpts.Pool
 		}
 		child, err := baseSpec.open(&ContactNetwork{net: split.Parts[s]}, childOpts)
 		if err != nil {
